@@ -12,9 +12,6 @@
 //!   (the success-rate experiments of Fig. 9);
 //! * [`markov`] — **Alg. 1**: the Markov-approximation assignment
 //!   algorithm (per-session WAIT/HOP with Gibbs-weighted migration);
-//! * [`churn`] — agent-failure evacuation: immediate relocation of the
-//!   users/tasks of a failed agent, feasibility-aware with forced
-//!   fallback;
 //! * [`brute_force`] — exact enumeration of the feasible set `F`, the true
 //!   optimum, and a bridge to `vc-markov`'s exact chain analysis;
 //! * [`local_search`] — greedy steepest-descent baseline.
@@ -25,7 +22,6 @@
 pub mod admission;
 pub mod agrank;
 pub mod brute_force;
-pub mod churn;
 pub mod local_search;
 pub mod markov;
 pub mod min_delay;

@@ -1,27 +1,30 @@
 //! Fig. 4 — evolution of traffic and delay over 200 s under Alg. 1 with
 //! β ∈ {200, 400}, initialized by Nrst.
 
-use super::prototype_nrst_state;
+use super::{
+    arrivals_at, prototype_orchestrator_config, prototype_problem, run_fleet_trace, FleetRun,
+};
 use crate::util::print_series_table;
-use vc_algo::markov::Alg1Config;
-use vc_sim::{ConferenceSim, SimConfig, SimReport};
+use vc_orchestrator::PlacementPolicy;
+use vc_sim::TimeSeries;
 
-/// The experiment output: one report per β.
+/// The experiment output: one run per β.
 #[derive(Debug)]
 pub struct Fig4Result {
-    /// `(β, report)` pairs.
-    pub runs: Vec<(f64, SimReport)>,
+    /// `(β, run)` pairs.
+    pub runs: Vec<(f64, FleetRun)>,
 }
 
-/// Runs both β settings over the same workload and seed.
+/// Runs both β settings over the same workload and seed: every session
+/// arrives at t = 0 and is placed by Nrst.
 pub fn run(duration_s: f64, seed: u64) -> Fig4Result {
     let runs = [200.0, 400.0]
         .into_iter()
         .map(|beta| {
-            let state = prototype_nrst_state(seed);
-            let mut config = SimConfig::paper_default(duration_s, seed);
-            config.alg1 = Alg1Config::paper(beta);
-            (beta, ConferenceSim::new(state, config).run())
+            let problem = prototype_problem(seed);
+            let events = arrivals_at(0.0, problem.instance().session_ids());
+            let config = prototype_orchestrator_config(PlacementPolicy::Nearest, beta, seed);
+            (beta, run_fleet_trace(problem, config, events, duration_s))
         })
         .collect();
     Fig4Result { runs }
@@ -30,24 +33,19 @@ pub fn run(duration_s: f64, seed: u64) -> Fig4Result {
 /// Prints the two series side by side (10-second grid).
 pub fn print(result: &Fig4Result) {
     println!("Fig. 4 — Alg. 1 from the Nrst initial assignment (prototype scale)");
+    let labels: Vec<_> = (result.runs.iter())
+        .map(|(b, _)| format!("beta={b}"))
+        .collect();
+    let table = |series: fn(&FleetRun) -> &TimeSeries| {
+        let rows: Vec<_> = (labels.iter().zip(&result.runs))
+            .map(|(l, (_, r))| (l.as_str(), series(r)))
+            .collect();
+        print_series_table(&rows, 10.0);
+    };
     println!("\n(a) inter-agent traffic (Mbps)");
-    let traffic: Vec<(String, &vc_sim::TimeSeries)> = result
-        .runs
-        .iter()
-        .map(|(b, r)| (format!("beta={b}"), &r.traffic))
-        .collect();
-    let traffic_refs: Vec<(&str, &vc_sim::TimeSeries)> =
-        traffic.iter().map(|(l, s)| (l.as_str(), *s)).collect();
-    print_series_table(&traffic_refs, 10.0);
+    table(|r| &r.traffic);
     println!("\n(b) conferencing delay (ms)");
-    let delay: Vec<(String, &vc_sim::TimeSeries)> = result
-        .runs
-        .iter()
-        .map(|(b, r)| (format!("beta={b}"), &r.delay))
-        .collect();
-    let delay_refs: Vec<(&str, &vc_sim::TimeSeries)> =
-        delay.iter().map(|(l, s)| (l.as_str(), *s)).collect();
-    print_series_table(&delay_refs, 10.0);
+    table(|r| &r.delay);
     for (beta, r) in &result.runs {
         println!(
             "beta={beta}: traffic {:.1} → {:.1} Mbps, delay {:.1} → {:.1} ms, {} hops",
@@ -55,7 +53,7 @@ pub fn print(result: &Fig4Result) {
             r.traffic.last_value().unwrap_or(0.0),
             r.delay.first_value().unwrap_or(0.0),
             r.delay.last_value().unwrap_or(0.0),
-            r.hops.len()
+            r.hops
         );
     }
 }

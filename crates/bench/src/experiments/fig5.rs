@@ -1,59 +1,39 @@
 //! Fig. 5 — adaptation to session dynamics: 6 sessions at t = 0, 4 more
 //! arrive at t = 40 s, 3 depart at t = 80 s; β = 400.
 
-use super::prototype_problem;
+use super::{
+    arrivals_at, describe_events, prototype_orchestrator_config, prototype_problem,
+    run_fleet_trace, FleetRun,
+};
 use crate::util::print_series_table;
 use vc_algo::agrank::AgRankConfig;
-use vc_algo::nearest::nearest_assignment;
-use vc_core::SystemState;
 use vc_model::SessionId;
-use vc_sim::{ArrivalPolicy, ConferenceSim, DynamicsEvent, SimConfig, SimReport};
+use vc_orchestrator::PlacementPolicy;
+use vc_workloads::FleetEvent;
 
 /// Arrival instant of the 4 extra sessions (s).
 pub const ARRIVAL_AT_S: f64 = 40.0;
 /// Departure instant of the 3 leaving sessions (s).
 pub const DEPARTURE_AT_S: f64 = 80.0;
 
-/// Runs the dynamic scenario.
-pub fn run(duration_s: f64, seed: u64) -> SimReport {
+/// Runs the dynamic scenario. Every arrival, the first six included, is
+/// placed by AgRank (nngbr = 2); events after `duration_s` do not run.
+pub fn run(duration_s: f64, seed: u64) -> FleetRun {
     let problem = prototype_problem(seed);
     let n = problem.instance().num_sessions();
     assert!(n >= 10, "prototype workload has 10 sessions");
-    let assignment = nearest_assignment(&problem);
-    let mut active = vec![false; n];
-    for s in active.iter_mut().take(6) {
-        *s = true;
-    }
-    let state = SystemState::with_active(problem, assignment, active);
-
-    let mut dynamics = Vec::new();
-    for s in 6..10 {
-        dynamics.push(DynamicsEvent {
-            time_s: ARRIVAL_AT_S,
-            session: SessionId::new(s as u32),
-            arrives: true,
-        });
-    }
-    for s in 0..3 {
-        dynamics.push(DynamicsEvent {
-            time_s: DEPARTURE_AT_S,
-            session: SessionId::new(s as u32),
-            arrives: false,
-        });
-    }
-
-    let mut config = SimConfig::paper_default(duration_s, seed);
-    config.arrival_policy = ArrivalPolicy::AgRank(AgRankConfig::paper(2));
-    ConferenceSim::new(state, config)
-        .with_dynamics(dynamics)
-        .run()
+    let mut events = arrivals_at(0.0, (0..6).map(SessionId::new));
+    events.extend(arrivals_at(ARRIVAL_AT_S, (6..10).map(SessionId::new)));
+    events.extend((0..3).map(|s| (DEPARTURE_AT_S, FleetEvent::Depart(SessionId::new(s)))));
+    let config =
+        prototype_orchestrator_config(PlacementPolicy::AgRank(AgRankConfig::paper(2)), 400.0, seed);
+    run_fleet_trace(problem, config, events, duration_s)
 }
 
-/// Prints the traffic/delay series with the dynamics marked.
-pub fn print(report: &SimReport) {
-    println!(
-        "Fig. 5 — session arrival at t = {ARRIVAL_AT_S} s, departure at t = {DEPARTURE_AT_S} s (β = 400)"
-    );
+/// Prints the traffic/delay series with the dynamics that ran marked.
+pub fn print(report: &FleetRun) {
+    println!("Fig. 5 — session dynamics under Alg. 1 (β = 400)");
+    describe_events(&report.events);
     print_series_table(
         &[
             ("traffic Mbps", &report.traffic),
@@ -82,5 +62,16 @@ mod tests {
             after_departure < before_departure,
             "departure: {before_departure} → {after_departure}"
         );
+    }
+
+    #[test]
+    fn short_run_drops_the_dynamics_past_the_horizon() {
+        let report = run(30.0, 8);
+        assert_eq!(report.traffic.len(), 31);
+        assert!(report
+            .events
+            .iter()
+            .all(|&(t, e)| t == 0.0 && matches!(e, FleetEvent::Arrive(_))));
+        assert_eq!(report.final_state.active_sessions().count(), 6);
     }
 }

@@ -1,17 +1,19 @@
 //! Fig. 6 — Alg. 1 initialized by AgRank (nngbr = 2): better starting
 //! point and faster convergence than the Nrst initialization of Fig. 4.
 
-use super::{prototype_nrst_state, prototype_problem};
+use super::{
+    arrivals_at, prototype_nrst_state, prototype_orchestrator_config, prototype_problem,
+    run_fleet_trace, FleetRun,
+};
 use crate::util::print_series_table;
-use vc_algo::agrank::{agrank_assignment, AgRankConfig};
-use vc_core::SystemState;
-use vc_sim::{ConferenceSim, SimConfig, SimReport};
+use vc_algo::agrank::AgRankConfig;
+use vc_orchestrator::PlacementPolicy;
 
 /// The experiment output.
 #[derive(Debug)]
 pub struct Fig6Result {
     /// The AgRank-initialized run.
-    pub agrank_run: SimReport,
+    pub agrank_run: FleetRun,
     /// Initial traffic/delay under Nrst on the same workload, for the
     /// paper's "15 Mbps vs 22 Mbps" comparison.
     pub nrst_initial_traffic: f64,
@@ -19,13 +21,14 @@ pub struct Fig6Result {
     pub nrst_initial_delay: f64,
 }
 
-/// Runs the AgRank-initialized simulation.
+/// Runs the AgRank-initialized fleet: every session arrives at t = 0
+/// and is placed by AgRank (nngbr = 2).
 pub fn run(duration_s: f64, seed: u64) -> Fig6Result {
     let problem = prototype_problem(seed);
-    let assignment = agrank_assignment(&problem, &AgRankConfig::paper(2));
-    let state = SystemState::new(problem, assignment);
-    let config = SimConfig::paper_default(duration_s, seed);
-    let agrank_run = ConferenceSim::new(state, config).run();
+    let events = arrivals_at(0.0, problem.instance().session_ids());
+    let config =
+        prototype_orchestrator_config(PlacementPolicy::AgRank(AgRankConfig::paper(2)), 400.0, seed);
+    let agrank_run = run_fleet_trace(problem, config, events, duration_s);
     let nrst = prototype_nrst_state(seed);
     Fig6Result {
         agrank_run,

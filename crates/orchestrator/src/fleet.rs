@@ -1109,10 +1109,10 @@ impl Fleet {
         (moves, forced)
     }
 
-    /// The evacuation proper (FREEZE write lock held): for each stranded
-    /// decision — sessions ascending, users before tasks, mirroring
-    /// `vc-algo`'s churn module — pick the feasible alternative
-    /// minimizing `Φ_s`. When no feasible target exists: with
+    /// The evacuation proper (FREEZE write lock held) and the only
+    /// evacuation in the workspace: for each stranded decision —
+    /// sessions ascending, users before tasks — pick the feasible
+    /// alternative minimizing `Φ_s`. When no feasible target exists: with
     /// re-admission enabled the *whole session* is displaced (pushed to
     /// `displaced`, its hold released, its slot deactivated) instead of
     /// overshooting a surviving agent; without it, the least-bad move

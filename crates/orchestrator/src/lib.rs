@@ -2,10 +2,10 @@
 //!
 //! The paper's Alg. 1 is explicitly *distributed and online*: sessions
 //! arrive, optimize themselves through WAIT/HOP loops, and depart, all
-//! against shared agent capacity. The rest of this workspace exercises
-//! that algorithm through closed-world drivers (a fixed instance, all
-//! sessions known up front); this crate supplies the long-running
-//! control plane that owns a *fleet* of concurrent sessions:
+//! against shared agent capacity. This crate is the workspace's one
+//! runtime for that loop — the prototype figures (Figs. 4–7) and the
+//! agent-failure experiment run on it too — a long-running control
+//! plane that owns a *fleet* of concurrent sessions:
 //!
 //! * [`ledger`] — the **sharded capacity ledger**: per-agent bandwidth
 //!   and transcoding-slot reservations taken/released atomically across

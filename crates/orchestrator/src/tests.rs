@@ -1,6 +1,6 @@
 //! Unit tests over a small capacity-limited universe.
 
-use crate::fleet::{AdmitError, Fleet, FleetConfig, PlacementPolicy};
+use crate::fleet::{placement_of, AdmitError, Fleet, FleetConfig, PlacementPolicy};
 use crate::ledger::{AgentHold, CapacityLedger, LedgerError, SessionHold};
 use crate::orchestrator::{Orchestrator, OrchestratorConfig};
 use crate::workers::ReoptPool;
@@ -8,7 +8,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 use vc_algo::agrank::AgRankConfig;
 use vc_algo::markov::Alg1Config;
-use vc_core::UapProblem;
+use vc_core::{UapProblem, Violation};
 use vc_cost::CostModel;
 use vc_model::{
     AgentId, AgentSpec, Capacity, DownstreamDemand, InstanceBuilder, ReprLadder, SessionDef,
@@ -913,4 +913,73 @@ mod persistence {
         // series is the constant instance size.
         assert_eq!(t.universe_sessions_series().last_value(), Some(6.0));
     }
+}
+
+/// How many users and tasks of live sessions sit on `agent`.
+fn live_occupancy(f: &Fleet, agent: AgentId) -> usize {
+    f.with_state(|st| {
+        st.active_sessions()
+            .map(|s| {
+                let (users, tasks) = placement_of(st, s);
+                users.iter().filter(|&&(_, a)| a == agent).count()
+                    + tasks.iter().filter(|&&(_, a)| a == agent).count()
+            })
+            .sum()
+    })
+}
+
+#[test]
+fn scarce_evacuation_forces_moves_off_the_failed_agent() {
+    // Room for five of the six sessions across three agents, but not
+    // for those five on the two survivors: with re-admission off, the
+    // evacuation must overshoot instead of leaving anyone behind.
+    let f = fleet(30.0, 4);
+    let admitted = (0..6).filter(|&i| f.admit(SessionId::new(i)).is_ok());
+    assert_eq!(admitted.count(), 5);
+    let failed = AgentId::new(0);
+    assert!(live_occupancy(&f, failed) > 0);
+    let (moves, forced) = f.fail_agent(failed);
+    assert!(forced > 0, "scarcity must force some moves ({moves} moves)");
+    assert_eq!(live_occupancy(&f, failed), 0);
+    assert!(f.audit().is_empty(), "audit: {:?}", f.audit());
+    // Capacity violations may remain; the unavailable-agent one is gone.
+    let violations = f.with_state(|st| st.violations());
+    let unavailable = |v: &Violation| matches!(v, Violation::Unavailable { .. });
+    assert!(!violations.iter().any(unavailable), "{violations:?}");
+}
+
+#[test]
+fn virtual_clock_hops_avoid_a_failed_agent_until_restored() {
+    // A near-zero β makes the hops a near-uniform random walk, so an
+    // agent they could use would be reached within a few hops.
+    let f = Fleet::new(
+        universe(10_000.0, 100),
+        FleetConfig {
+            placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
+            alg1: Alg1Config::paper(0.01),
+            ledger_shards: 2,
+            ..FleetConfig::default()
+        },
+    );
+    let pool = ReoptPool::new(4);
+    for i in 0..6 {
+        f.admit(SessionId::new(i)).unwrap();
+        pool.register(&f, SessionId::new(i), 0.0);
+    }
+    let failed = AgentId::new(1);
+    assert!(live_occupancy(&f, failed) > 0);
+    f.fail_agent(failed);
+    let mut hops = 0;
+    for t in 1..=300 {
+        hops += pool.tick_until(&f, f64::from(t));
+        assert_eq!(live_occupancy(&f, failed), 0, "hop used {failed} at t={t}");
+    }
+    assert!(hops >= 100, "only {hops} hops in 300 s");
+    assert!(f.restore_agent(failed));
+    let reused = (301..=900).any(|t| {
+        pool.tick_until(&f, f64::from(t));
+        live_occupancy(&f, failed) > 0
+    });
+    assert!(reused, "hops never moved load back onto the restored agent");
+    assert!(f.audit().is_empty());
 }

@@ -1,37 +1,23 @@
-//! Discrete-event conferencing simulator.
+//! Conferencing measurement primitives.
 //!
-//! Replaces the paper's C++/OpenCV prototype testbed (Sec. V-A): it runs
-//! Alg. 1's per-session WAIT/HOP loops in simulated continuous time with
-//! FREEZE-serialized migrations, injects session arrivals/departures,
-//! accounts migration overhead (the dual-feed trick the prototype uses to
-//! avoid frozen frames), and samples the two reported metrics — total
-//! inter-agent traffic and mean conferencing delay — once per simulated
-//! second, producing exactly the time series plotted in Figs. 4–7.
+//! The Alg. 1 runtime itself — per-session WAIT/HOP loops, session
+//! arrivals and departures, agent failures and evacuation — is
+//! `vc-orchestrator`'s `Fleet` and `ReoptPool`, driven in virtual time
+//! by its `Orchestrator` or on OS threads by `ReoptPool::run_wall`. This
+//! crate keeps what sits outside that loop:
 //!
-//! A frame-level streaming simulator ([`streaming`]) reproduces the
-//! migration-interruption micro-experiment: 2–3 frozen frames at 30 fps
-//! without dual-feed, zero with it, at ~13 Kb of redundant traffic.
-//!
-//! Two runtimes are provided: the deterministic discrete-event
-//! [`ConferenceSim`], and [`parallel::run_parallel`] — one real thread
-//! per session serialized by a FREEZE lock, the paper's distributed
-//! deployment shape. Agent failures are injectable in both
-//! ([`ChurnEvent`]; evacuation via `vc-algo`'s churn module).
+//! * [`metrics`] — the [`TimeSeries`] the fleet telemetry samples once
+//!   per simulated second (the traffic and delay series of Figs. 4–7),
+//!   and the [`BoxStats`] summaries of the scenario sweeps;
+//! * [`streaming`] — a frame-level simulator of the migration-
+//!   interruption micro-experiment (Sec. V-A): 2–3 frozen frames at
+//!   30 fps without dual-feed, zero with it, at ~13 Kb of redundant
+//!   traffic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod event;
 pub mod metrics;
-pub mod migration;
-pub mod parallel;
-mod runtime;
 pub mod streaming;
 
-pub use event::{Event, EventQueue};
 pub use metrics::{BoxStats, TimeSeries};
-pub use migration::{MigrationModel, MigrationStats};
-pub use parallel::{run_parallel, ParallelConfig, ParallelReport};
-pub use runtime::{
-    ArrivalPolicy, ChurnEvent, ConferenceSim, DynamicsEvent, HopRecord, SimConfig, SimReport,
-};

@@ -3,57 +3,53 @@
 //!
 //! Starts the prototype workload with 6 of its 10 sessions, lets 4 more
 //! arrive at t = 40 s and 3 depart at t = 80 s, and prints the traffic
-//! and delay time series so the adaptation is visible.
+//! and delay time series so the adaptation is visible. The events run
+//! through the orchestrator: AgRank (nngbr = 2) places every arrival,
+//! and the re-optimization workers hop each live session in virtual
+//! time.
 //!
 //! Run with: `cargo run --release --example dynamic_sessions`
 
 use cloud_vc::prelude::*;
-use cloud_vc::sim::ArrivalPolicy;
 use std::sync::Arc;
 
 fn main() {
     let instance = prototype_instance(&PrototypeConfig::default());
     let problem = Arc::new(UapProblem::new(instance, CostModel::paper_default()));
-    let assignment = nearest_assignment(&problem);
 
-    // Sessions 0–5 active from the start; 6–9 arrive at t = 40 s;
-    // sessions 0–2 depart at t = 80 s.
-    let mut active = vec![false; problem.instance().num_sessions()];
-    active[..6].fill(true);
-    let state = SystemState::with_active(problem.clone(), assignment, active);
+    // Sessions 0–5 arrive at t = 0 and 6–9 at t = 40 s; sessions 0–2
+    // depart at t = 80 s.
+    let mut events: Vec<(f64, FleetEvent)> = (0..6)
+        .map(|s| (0.0, FleetEvent::Arrive(SessionId::new(s))))
+        .collect();
+    events.extend((6..10).map(|s| (40.0, FleetEvent::Arrive(SessionId::new(s)))));
+    events.extend((0..3).map(|s| (80.0, FleetEvent::Depart(SessionId::new(s)))));
 
-    let mut dynamics = Vec::new();
-    for s in 6..10 {
-        dynamics.push(DynamicsEvent {
-            time_s: 40.0,
-            session: SessionId::new(s),
-            arrives: true,
-        });
-    }
-    for s in 0..3 {
-        dynamics.push(DynamicsEvent {
-            time_s: 80.0,
-            session: SessionId::new(s),
-            arrives: false,
-        });
-    }
-
-    let mut config = SimConfig::paper_default(120.0, 99);
-    config.arrival_policy = ArrivalPolicy::AgRank(AgRankConfig::paper(2));
-    let report = ConferenceSim::new(state, config)
-        .with_dynamics(dynamics)
-        .run();
+    // The default Alg. 1 parameters are the paper's (β = 400).
+    let config = OrchestratorConfig {
+        fleet: FleetConfig {
+            placement: PlacementPolicy::AgRank(AgRankConfig::paper(2)),
+            ..FleetConfig::default()
+        },
+        seed: 99,
+        ..OrchestratorConfig::default()
+    };
+    let mut orchestrator = Orchestrator::new(problem, config);
+    let report = orchestrator.run_trace(&FleetTrace { events }, 120.0);
 
     println!("time_s  traffic_mbps  mean_delay_ms");
-    for (&(t, traffic), &(_, delay)) in report.traffic.points().iter().zip(report.delay.points()) {
-        if (t as u64).is_multiple_of(5) {
-            println!("{t:>6.0}  {traffic:>12.2}  {delay:>13.1}");
+    for snap in report.telemetry.snapshots() {
+        if (snap.time_s as u64).is_multiple_of(5) {
+            println!(
+                "{:>6.0}  {:>12.2}  {:>13.1}",
+                snap.time_s, snap.traffic_mbps, snap.mean_delay_ms
+            );
         }
     }
     println!(
-        "\n{} hops, {} user migrations ({:.1} Kb redundant dual-feed traffic)",
-        report.hops.len(),
-        report.migrations.user_migrations,
-        report.migrations.redundant_kb
+        "\n{} hops, {} migrations, {} sessions refused",
+        report.hops_executed,
+        report.final_snapshot.migrations,
+        report.rejections.len()
     );
 }

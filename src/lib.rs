@@ -6,7 +6,8 @@
 //! approximation-based distributed assignment algorithm (Alg. 1), the
 //! AgRank bootstrap (Alg. 2), the nearest-assignment baseline, and the
 //! full evaluation substrate (geography-driven latency model, cost
-//! model, discrete-event conferencing simulator, workload generators).
+//! model, an online control plane that runs Alg. 1 over live sessions,
+//! workload generators).
 //!
 //! This crate is a facade: it re-exports the workspace crates under one
 //! namespace.
@@ -44,7 +45,7 @@
 //! | [`core`] | `vc-core` | UAP: assignment state, constraints, objective, neighborhoods |
 //! | [`markov`] | `vc-markov` | Markov approximation theory: Gibbs, CTMC, Theorem 1 |
 //! | [`algo`] | `vc-algo` | Alg. 1, AgRank, Nrst, admission, exact solvers |
-//! | [`sim`] | `vc-sim` | discrete-event conferencing simulator, metrics, streaming |
+//! | [`sim`] | `vc-sim` | time series, box statistics, migration streaming simulator |
 //! | [`workloads`] | `vc-workloads` | prototype, Internet-scale & dynamic-fleet generators |
 //! | [`orchestrator`] | `vc-orchestrator` | online multi-session control plane: sharded capacity ledger, admission, re-optimization workers |
 //! | [`persist`] | `vc-persist` | durability: hand-rolled binary codec, CRC-framed write-ahead journal, snapshots, crash recovery |
@@ -69,7 +70,6 @@ pub mod prelude {
         admit_all, AdmissionEngine, AdmissionOutcome, AdmissionPolicy, AdmissionTier,
     };
     pub use vc_algo::agrank::{agrank_assignment, AgRankConfig};
-    pub use vc_algo::churn::evacuate_agent;
     pub use vc_algo::markov::{Alg1Config, Alg1Engine, HopOutcome};
     pub use vc_algo::min_delay::min_delay_assignment;
     pub use vc_algo::nearest::nearest_assignment;
@@ -84,7 +84,6 @@ pub mod prelude {
         PersistConfig, PlacementPolicy, RecoveryReport, TimerEntry,
     };
     pub use vc_persist::FsyncPolicy;
-    pub use vc_sim::{ConferenceSim, DynamicsEvent, SimConfig, SimReport};
     pub use vc_workloads::{
         dynamic_trace, large_scale_instance, open_world_trace, prototype_instance,
         DynamicTraceConfig, FleetEvent, FleetTrace, LargeScaleConfig, OpenWorldConfig,

@@ -155,15 +155,66 @@ fn full_simulation_pipeline_stays_consistent() {
         prototype_instance(&PrototypeConfig::default()),
         CostModel::paper_default(),
     ));
-    let state = SystemState::new(problem.clone(), nearest_assignment(&problem));
-    let report = ConferenceSim::new(state, SimConfig::paper_default(100.0, 1)).run();
+    let events = problem.instance().session_ids();
+    let trace = FleetTrace {
+        events: events.map(|s| (0.0, FleetEvent::Arrive(s))).collect(),
+    };
+    // The default Alg. 1 parameters are the paper's (β = 400).
+    let config = OrchestratorConfig {
+        fleet: FleetConfig {
+            placement: PlacementPolicy::Nearest,
+            ..FleetConfig::default()
+        },
+        seed: 1,
+        ..OrchestratorConfig::default()
+    };
+    let mut orchestrator = Orchestrator::new(problem, config);
+    let report = orchestrator.run_trace(&trace, 100.0);
+    let fleet = orchestrator.fleet();
     // Final sampled values equal the final state's readouts.
+    let final_traffic_mbps = fleet.with_state(|state| state.total_traffic_mbps());
     assert!(
-        (report.traffic.last_value().unwrap() - report.final_traffic_mbps).abs() < 1e-9
-            || report.hops.iter().any(|h| h.time_s > 99.0),
+        (report.telemetry.traffic_series().last_value().unwrap() - final_traffic_mbps).abs() < 1e-9,
         "sampled and final traffic disagree"
     );
-    let mut final_state = report.final_state.clone();
-    let drift = final_state.rebuild();
+    let drift = fleet.load_drift();
     assert!(drift < 1e-6, "incremental drift {drift}");
+}
+
+/// The t = 0 points of Figs. 4, 6 and 7 come from Fleet admission: on
+/// the prototype it must place every session exactly where the offline
+/// Nrst and AgRank bootstraps do.
+#[test]
+fn fleet_bootstrap_matches_offline_placements() {
+    for seed in [1u64, 2, 4, 8, 99, 2015, 7] {
+        let problem = Arc::new(UapProblem::new(
+            prototype_instance(&PrototypeConfig {
+                seed,
+                ..PrototypeConfig::default()
+            }),
+            CostModel::paper_default(),
+        ));
+        for (policy, offline) in [
+            (PlacementPolicy::Nearest, nearest_assignment(&problem)),
+            (
+                PlacementPolicy::AgRank(AgRankConfig::paper(2)),
+                agrank_assignment(&problem, &AgRankConfig::paper(2)),
+            ),
+        ] {
+            let fleet = Fleet::new(
+                problem.clone(),
+                FleetConfig {
+                    placement: policy.clone(),
+                    ..FleetConfig::default()
+                },
+            );
+            for s in problem.instance().session_ids() {
+                fleet
+                    .admit(s)
+                    .unwrap_or_else(|e| panic!("seed {seed}, {policy:?}: {s} refused: {e:?}"));
+            }
+            let placed = fleet.with_state(|state| state.assignment().clone());
+            assert_eq!(placed, offline, "seed {seed}, {policy:?}");
+        }
+    }
 }
