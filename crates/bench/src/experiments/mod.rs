@@ -125,8 +125,8 @@ pub fn run_fleet_trace(
         .collect();
     assert!(evacuations.len() <= 1, "one agent failure per trace");
     FleetRun {
-        traffic: report.telemetry.traffic_series().clone(),
-        delay: report.telemetry.mean_delay_series().clone(),
+        traffic: report.telemetry.series(|s| s.traffic_mbps),
+        delay: report.telemetry.series(|s| s.mean_delay_ms),
         events: trace.events,
         evacuations,
         hops: report.hops_executed,

@@ -83,31 +83,20 @@ pub fn print(result: &OrchestratorResult) {
         "Orchestrator — dynamic fleet, agent a2 fails at t = {:.0} s",
         result.duration_s * 0.5
     );
+    let (base, orch) = (&result.baseline.telemetry, &result.orchestrated.telemetry);
     print_series_table(
         &[
-            (
-                "live sessions",
-                result.orchestrated.telemetry.live_sessions_series(),
-            ),
+            ("live sessions", &orch.series(|s| s.live_sessions as f64)),
             (
                 "phi/session nrst",
-                result.baseline.telemetry.mean_session_objective_series(),
+                &base.series(|s| s.mean_session_objective),
             ),
             (
                 "phi/session orch",
-                result
-                    .orchestrated
-                    .telemetry
-                    .mean_session_objective_series(),
+                &orch.series(|s| s.mean_session_objective),
             ),
-            (
-                "traffic orch Mbps",
-                result.orchestrated.telemetry.traffic_series(),
-            ),
-            (
-                "max util orch",
-                result.orchestrated.telemetry.max_utilization_series(),
-            ),
+            ("traffic orch Mbps", &orch.series(|s| s.traffic_mbps)),
+            ("max util orch", &orch.series(|s| s.max_utilization)),
         ],
         (result.duration_s / 12.0).max(1.0),
     );

@@ -109,8 +109,8 @@ impl<V: AssignmentView> AssignmentView for OverlayView<'_, V> {
 /// transcoding occupancy `y_ls`, per-user delays `d_u`, and the weighted
 /// local objective `Φ_s`.
 ///
-/// Equality compares the semantic fields only — the [`touched`]
-/// (Self::touched) index is bookkeeping for sparse iteration.
+/// Equality compares the semantic fields only — the
+/// [`touched`](Self::touched) index is bookkeeping for sparse iteration.
 #[derive(Debug, Clone, Default)]
 pub struct SessionLoad {
     /// Per-agent download load (Mbps): last-mile upstreams + inter-agent ingress.

@@ -145,7 +145,7 @@ impl Stripe {
 }
 
 /// A striped, lock-free shared histogram (per-thread recorders drained
-/// by the sampler). Threads spread across [`NUM_STRIPES`] stripes so
+/// by the sampler). Threads spread across `NUM_STRIPES` stripes so
 /// concurrent recorders rarely touch the same cache lines.
 pub struct SharedHist {
     stripes: Vec<Stripe>,
@@ -393,7 +393,7 @@ impl ObsPlane {
 
     /// Close a sampled hot-path span: one clock read both finishes the
     /// span histogram sample and timestamps the flight event. Outlined
-    /// and cold for the same reason as [`ObsPlane::clock_now`] — this
+    /// and cold for the same reason as `ObsPlane::clock_now` — this
     /// runs on 1-in-[`SAMPLE_EVERY`](Self::SAMPLE_EVERY) ops, and the
     /// common path must not carry its code.
     #[cold]

@@ -7,7 +7,7 @@
 //! HOP — behind one `Mutex<SystemState>` (the paper's FREEZE message,
 //! literally). That lock is gone. The fleet now owns:
 //!
-//! * one [`SessionSlot`] per session (its users'/tasks' agents, its
+//! * one `SessionSlot` per session (its users'/tasks' agents, its
 //!   evaluated [`SessionLoad`], its live flag), each behind its own
 //!   mutex — a HOP touches exactly one slot;
 //! * the sharded [`CapacityLedger`] as the *only* cross-session
@@ -23,7 +23,7 @@
 //! ## The open world
 //!
 //! The FREEZE lock guards more than quiescence: it owns the
-//! [`Universe`] — the problem (instance + tasks) and the per-session
+//! `Universe` — the problem (instance + tasks) and the per-session
 //! slot vector. Both are **append-only extensible** while the fleet is
 //! live: [`Fleet::register_session`] (exclusive FREEZE) registers a
 //! never-before-seen conference, growing the instance, the task table,

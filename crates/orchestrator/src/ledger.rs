@@ -744,19 +744,6 @@ impl CapacityLedger {
             .collect()
     }
 
-    /// The worst per-agent capacity *overshoot*: how far past 1.0 the
-    /// most-loaded agent's utilization sits (0.0 when every agent is
-    /// within capacity). Nonzero only after forced evacuation moves —
-    /// the admission and hop paths never overbook — so this gauge is
-    /// the direct readout of how much un-healed displacement debt the
-    /// fleet is carrying.
-    pub fn max_overshoot_fraction(&self) -> f64 {
-        self.utilization()
-            .iter()
-            .map(|u| (u.max_fraction - 1.0).max(0.0))
-            .fold(0.0, f64::max)
-    }
-
     /// Conservation audit against the authoritative state: per agent,
     /// the booked reservations must equal the state's live
     /// [`AgentTotals`] (within float slack), and the set of holding

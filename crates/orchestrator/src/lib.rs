@@ -35,8 +35,11 @@
 //!   so 100k+ waiting sessions dispatch in deterministic
 //!   `(due_us, session, epoch)` order with no global lock;
 //! * [`telemetry`] — periodic [`FleetSnapshot`]s (objective, per-agent
-//!   utilization, migration counts, admission success rate) and
-//!   [`vc_sim::metrics::TimeSeries`]-compatible series;
+//!   utilization, migration counts, admission success rate), each field
+//!   declared once in the [`telemetry::COLUMNS`] table that generates
+//!   the CSV, JSON and `/metrics` views, plus
+//!   [`vc_sim::metrics::TimeSeries`] series of any field via
+//!   [`FleetTelemetry::series`];
 //! * [`orchestrator`] — the trace-driven [`Orchestrator`] consuming
 //!   `vc-workloads`' dynamic arrival/departure traces.
 //!

@@ -52,7 +52,6 @@
 
 use crate::fleet::{self, Fleet, FleetConfig, FleetCounters, GrowthRecord};
 use crate::ledger::{AgentHold, SessionHold};
-use crate::telemetry::FleetSnapshot;
 use crate::workers::{ReoptPool, TimerEntry};
 use parking_lot::Mutex;
 use std::fs;
@@ -528,74 +527,6 @@ impl Decode for SessionHold {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Self {
             holds: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Encode for FleetSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.time_s.encode(out);
-        self.universe_sessions.encode(out);
-        self.universe_users.encode(out);
-        self.live_sessions.encode(out);
-        self.objective.encode(out);
-        self.mean_session_objective.encode(out);
-        self.traffic_mbps.encode(out);
-        self.mean_delay_ms.encode(out);
-        self.mean_utilization.encode(out);
-        self.max_utilization.encode(out);
-        self.admitted.encode(out);
-        self.rejected.encode(out);
-        self.departed.encode(out);
-        self.migrations.encode(out);
-        self.admission_success_rate.encode(out);
-        self.admission_attempts.encode(out);
-        self.admitted_enumeration.encode(out);
-        self.admitted_repair.encode(out);
-        self.admitted_fallback.encode(out);
-        self.admission_repair_steps.encode(out);
-        self.refused_user_fit.encode(out);
-        self.refused_task_fit.encode(out);
-        self.refused_global.encode(out);
-        self.conservation_violations.encode(out);
-        self.overshoot_fraction.encode(out);
-        self.displaced.encode(out);
-        self.readmit_queued.encode(out);
-        self.durability_degraded.encode(out);
-    }
-}
-
-impl Decode for FleetSnapshot {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            time_s: f64::decode(r)?,
-            universe_sessions: usize::decode(r)?,
-            universe_users: usize::decode(r)?,
-            live_sessions: usize::decode(r)?,
-            objective: f64::decode(r)?,
-            mean_session_objective: f64::decode(r)?,
-            traffic_mbps: f64::decode(r)?,
-            mean_delay_ms: f64::decode(r)?,
-            mean_utilization: f64::decode(r)?,
-            max_utilization: f64::decode(r)?,
-            admitted: usize::decode(r)?,
-            rejected: usize::decode(r)?,
-            departed: usize::decode(r)?,
-            migrations: usize::decode(r)?,
-            admission_success_rate: f64::decode(r)?,
-            admission_attempts: usize::decode(r)?,
-            admitted_enumeration: usize::decode(r)?,
-            admitted_repair: usize::decode(r)?,
-            admitted_fallback: usize::decode(r)?,
-            admission_repair_steps: usize::decode(r)?,
-            refused_user_fit: usize::decode(r)?,
-            refused_task_fit: usize::decode(r)?,
-            refused_global: usize::decode(r)?,
-            conservation_violations: usize::decode(r)?,
-            overshoot_fraction: f64::decode(r)?,
-            displaced: usize::decode(r)?,
-            readmit_queued: usize::decode(r)?,
-            durability_degraded: bool::decode(r)?,
         })
     }
 }

@@ -1,162 +1,23 @@
-//! Fleet telemetry: periodic snapshots and time series.
+//! Fleet telemetry: periodic snapshots and every view of them.
 //!
-//! Series use `vc-sim`'s [`TimeSeries`] so fleet runs drop into the
-//! existing experiment plumbing (`vc-bench`'s table printers, figure
-//! regeneration) unchanged.
+//! Each [`FleetSnapshot`] field is declared once more, as a row of
+//! [`COLUMNS`]: its name, how its value is written, and whether
+//! `/metrics` exports it. The CSV header and rows, the JSON snapshot
+//! objects and the snapshot-mirrored `vc_fleet_*` Prometheus lines are
+//! all generated from that table, and [`FleetTelemetry::series`] turns
+//! any snapshot reader into a `vc-sim` [`TimeSeries`] for the existing
+//! experiment plumbing (`vc-bench`'s table printers, figure
+//! regeneration). Adding a metric is one struct field, one line in the
+//! snapshot read and one table row.
 
 use crate::fleet::Fleet;
+use crate::ledger::RegionResiduals;
 use crate::workers::ReoptPool;
+use std::fmt::{self, Display, Write};
 use std::sync::atomic::Ordering;
 use vc_obs::{Watchdog, WatchdogFire};
 use vc_sim::metrics::TimeSeries;
-
-/// Fleet-level gauges in Prometheus text exposition format — the
-/// `extra` closure for [`vc_obs::ObsServer`], so `/metrics` serves the
-/// control-plane state next to the plane's own latency series.
-pub fn fleet_metrics_text(fleet: &Fleet) -> String {
-    let m = fleet.metrics();
-    let c = fleet.counters();
-    let load = |a: &std::sync::atomic::AtomicUsize| a.load(Ordering::Relaxed);
-    let mut out = String::with_capacity(512);
-    out.push_str("# TYPE vc_fleet_live_sessions gauge\n");
-    out.push_str(&format!("vc_fleet_live_sessions {}\n", m.live));
-    out.push_str("# TYPE vc_fleet_objective gauge\n");
-    out.push_str(&format!("vc_fleet_objective {:.6}\n", m.objective));
-    out.push_str("# TYPE vc_fleet_traffic_mbps gauge\n");
-    out.push_str(&format!("vc_fleet_traffic_mbps {:.6}\n", m.traffic_mbps));
-    out.push_str("# TYPE vc_fleet_mean_delay_ms gauge\n");
-    out.push_str(&format!("vc_fleet_mean_delay_ms {:.6}\n", m.mean_delay_ms));
-    out.push_str("# TYPE vc_fleet_admitted counter\n");
-    out.push_str(&format!("vc_fleet_admitted {}\n", load(&c.admitted)));
-    out.push_str("# TYPE vc_fleet_rejected counter\n");
-    out.push_str(&format!("vc_fleet_rejected {}\n", load(&c.rejected)));
-    out.push_str("# TYPE vc_fleet_departed counter\n");
-    out.push_str(&format!("vc_fleet_departed {}\n", load(&c.departed)));
-    out.push_str("# TYPE vc_fleet_migrations counter\n");
-    out.push_str(&format!("vc_fleet_migrations {}\n", load(&c.migrations)));
-    out.push_str("# TYPE vc_fleet_admission_success_rate gauge\n");
-    out.push_str(&format!(
-        "vc_fleet_admission_success_rate {:.6}\n",
-        c.admission_success_rate()
-    ));
-    out.push_str("# TYPE vc_fleet_overshoot_fraction gauge\n");
-    out.push_str(&format!(
-        "vc_fleet_overshoot_fraction {:.6}\n",
-        fleet.ledger().max_overshoot_fraction()
-    ));
-    out.push_str("# TYPE vc_fleet_displaced counter\n");
-    out.push_str(&format!("vc_fleet_displaced {}\n", load(&c.displaced)));
-    out.push_str("# TYPE vc_fleet_readmit_queued gauge\n");
-    out.push_str(&format!(
-        "vc_fleet_readmit_queued {}\n",
-        fleet.readmit_queue_len()
-    ));
-    out.push_str("# TYPE vc_fleet_durability_degraded gauge\n");
-    out.push_str(&format!(
-        "vc_fleet_durability_degraded {}\n",
-        u8::from(fleet.durability_degraded())
-    ));
-    // Per-region residual/occupancy gauges (elastic capacity). Inf is
-    // Prometheus' `+Inf` — unlimited agents sum to an infinite residual.
-    let prom = |v: f64| {
-        if v == f64::INFINITY {
-            "+Inf".to_string()
-        } else {
-            format!("{v:.6}")
-        }
-    };
-    let regions = fleet.ledger().region_residuals();
-    out.push_str("# TYPE vc_region_agents gauge\n");
-    for r in &regions {
-        out.push_str(&format!(
-            "vc_region_agents{{region=\"{}\"}} {}\n",
-            r.name, r.agents
-        ));
-    }
-    out.push_str("# TYPE vc_region_available_agents gauge\n");
-    for r in &regions {
-        out.push_str(&format!(
-            "vc_region_available_agents{{region=\"{}\"}} {}\n",
-            r.name, r.available_agents
-        ));
-    }
-    out.push_str("# TYPE vc_region_residual_download_mbps gauge\n");
-    for r in &regions {
-        out.push_str(&format!(
-            "vc_region_residual_download_mbps{{region=\"{}\"}} {}\n",
-            r.name,
-            prom(r.download_mbps)
-        ));
-    }
-    out.push_str("# TYPE vc_region_residual_upload_mbps gauge\n");
-    for r in &regions {
-        out.push_str(&format!(
-            "vc_region_residual_upload_mbps{{region=\"{}\"}} {}\n",
-            r.name,
-            prom(r.upload_mbps)
-        ));
-    }
-    out.push_str("# TYPE vc_region_reserved_download_mbps gauge\n");
-    for r in &regions {
-        out.push_str(&format!(
-            "vc_region_reserved_download_mbps{{region=\"{}\"}} {}\n",
-            r.name,
-            prom(r.reserved_download_mbps)
-        ));
-    }
-    out.push_str("# TYPE vc_region_reserved_upload_mbps gauge\n");
-    for r in &regions {
-        out.push_str(&format!(
-            "vc_region_reserved_upload_mbps{{region=\"{}\"}} {}\n",
-            r.name,
-            prom(r.reserved_upload_mbps)
-        ));
-    }
-    let (prepares, commits, aborts) = fleet.ledger().cross_region_counters();
-    out.push_str("# TYPE vc_region_cross_prepares counter\n");
-    out.push_str(&format!("vc_region_cross_prepares {prepares}\n"));
-    out.push_str("# TYPE vc_region_cross_commits counter\n");
-    out.push_str(&format!("vc_region_cross_commits {commits}\n"));
-    out.push_str("# TYPE vc_region_cross_aborts counter\n");
-    out.push_str(&format!("vc_region_cross_aborts {aborts}\n"));
-    out
-}
-
-/// Wakeup-scheduler gauges in Prometheus text exposition format —
-/// append to [`fleet_metrics_text`]'s output in a `/metrics` closure
-/// so the sharded wheel's health (stale backlog, per-shard depth, lock
-/// contention) is scrapeable next to the fleet state.
-pub fn sched_metrics_text(pool: &ReoptPool) -> String {
-    let mut out = String::with_capacity(512);
-    out.push_str("# TYPE vc_sched_shards gauge\n");
-    out.push_str(&format!("vc_sched_shards {}\n", pool.num_shards()));
-    out.push_str("# TYPE vc_sched_stale_entries gauge\n");
-    out.push_str(&format!(
-        "vc_sched_stale_entries {}\n",
-        pool.stale_entries()
-    ));
-    out.push_str("# TYPE vc_sched_stale_reclaimed counter\n");
-    out.push_str(&format!(
-        "vc_sched_stale_reclaimed {}\n",
-        pool.stale_reclaimed()
-    ));
-    out.push_str("# TYPE vc_sched_depth gauge\n");
-    for (i, depth) in pool.shard_depths().into_iter().enumerate() {
-        out.push_str(&format!("vc_sched_depth{{shard=\"{i}\"}} {depth}\n"));
-    }
-    let counters = pool.shard_lock_counters();
-    out.push_str("# TYPE vc_sched_lock_acquires counter\n");
-    out.push_str(&format!(
-        "vc_sched_lock_acquires {}\n",
-        counters.iter().map(|&(a, _)| a).sum::<u64>()
-    ));
-    out.push_str("# TYPE vc_sched_lock_conflicts counter\n");
-    out.push_str(&format!(
-        "vc_sched_lock_conflicts {}\n",
-        counters.iter().map(|&(_, c)| c).sum::<u64>()
-    ));
-    out
-}
+use Value::{Bool, Float, Int, Time};
 
 /// One periodic observation of the fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,89 +86,40 @@ pub struct FleetSnapshot {
     pub durability_degraded: bool,
 }
 
-/// Accumulates snapshots and the derived time series — one series per
-/// [`FleetSnapshot`] field, so any fleet metric (including a
-/// recovered-vs-original diff) drops into the existing table printers,
-/// and a [CSV export](FleetTelemetry::to_csv) for offline analysis.
-#[derive(Debug, Default)]
-pub struct FleetTelemetry {
-    snapshots: Vec<FleetSnapshot>,
-    universe_sessions: TimeSeries,
-    universe_users: TimeSeries,
-    objective: TimeSeries,
-    mean_session_objective: TimeSeries,
-    traffic: TimeSeries,
-    mean_delay: TimeSeries,
-    live_sessions: TimeSeries,
-    mean_utilization: TimeSeries,
-    max_utilization: TimeSeries,
-    admitted: TimeSeries,
-    rejected: TimeSeries,
-    departed: TimeSeries,
-    migrations: TimeSeries,
-    admission_success_rate: TimeSeries,
-    admission_attempts: TimeSeries,
-    admitted_enumeration: TimeSeries,
-    admitted_repair: TimeSeries,
-    admitted_fallback: TimeSeries,
-    admission_repair_steps: TimeSeries,
-    refused_user_fit: TimeSeries,
-    refused_task_fit: TimeSeries,
-    refused_global: TimeSeries,
-    conservation_violations: TimeSeries,
-    overshoot_fraction: TimeSeries,
-    displaced: TimeSeries,
-    readmit_queued: TimeSeries,
-    durability_degraded: TimeSeries,
-}
-
-impl FleetTelemetry {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Samples the fleet at virtual time `t_s`, recording and returning
-    /// the snapshot. Runs the conservation audit — the control plane's
-    /// standing self-check.
-    pub fn sample(&mut self, fleet: &Fleet, t_s: f64) -> FleetSnapshot {
+impl FleetSnapshot {
+    /// Reads every gauge and counter at virtual time `t_s`, without the
+    /// conservation audit: `conservation_violations` reads 0 here and
+    /// [`FleetTelemetry::sample`] fills it in.
+    fn read(fleet: &Fleet, t_s: f64) -> Self {
         let m = fleet.metrics();
-        let (live, objective, traffic, delay) =
-            (m.live, m.objective, m.traffic_mbps, m.mean_delay_ms);
-        let util = fleet.ledger().utilization();
-        let fractions: Vec<f64> = util.iter().map(|u| u.max_fraction).collect();
-        let mean_util = if fractions.is_empty() {
-            0.0
-        } else {
-            fractions.iter().sum::<f64>() / fractions.len() as f64
-        };
-        let max_util = fractions.iter().copied().fold(0.0f64, f64::max);
+        let fractions: Vec<f64> = fleet
+            .ledger()
+            .utilization()
+            .iter()
+            .map(|u| u.max_fraction)
+            .collect();
         let (universe_sessions, universe_users) = fleet.universe_size();
-        let audit = fleet.audit();
-        if !audit.is_empty() {
-            // Conservation violated: dump the flight-recorder post-mortem
-            // (once per plane) before anyone asserts on the snapshot.
-            fleet
-                .obs()
-                .post_mortem_once("conservation_violation", &audit[0]);
-        }
         let c = fleet.counters();
         let load = |a: &std::sync::atomic::AtomicUsize| a.load(Ordering::Relaxed);
-        let snapshot = FleetSnapshot {
+        Self {
             time_s: t_s,
             universe_sessions,
             universe_users,
-            live_sessions: live,
-            objective,
-            mean_session_objective: if live == 0 {
+            live_sessions: m.live,
+            objective: m.objective,
+            mean_session_objective: if m.live == 0 {
                 0.0
             } else {
-                objective / live as f64
+                m.objective / m.live as f64
             },
-            traffic_mbps: traffic,
-            mean_delay_ms: delay,
-            mean_utilization: mean_util,
-            max_utilization: max_util,
+            traffic_mbps: m.traffic_mbps,
+            mean_delay_ms: m.mean_delay_ms,
+            mean_utilization: if fractions.is_empty() {
+                0.0
+            } else {
+                fractions.iter().sum::<f64>() / fractions.len() as f64
+            },
+            max_utilization: fractions.iter().copied().fold(0.0, f64::max),
             admitted: load(&c.admitted),
             rejected: load(&c.rejected),
             departed: load(&c.departed),
@@ -321,7 +133,7 @@ impl FleetTelemetry {
             refused_user_fit: load(&c.refused_user_fit),
             refused_task_fit: load(&c.refused_task_fit),
             refused_global: load(&c.refused_global),
-            conservation_violations: audit.len(),
+            conservation_violations: 0,
             overshoot_fraction: fractions
                 .iter()
                 .map(|f| (f - 1.0).max(0.0))
@@ -329,50 +141,228 @@ impl FleetTelemetry {
             displaced: load(&c.displaced),
             readmit_queued: fleet.readmit_queue_len(),
             durability_degraded: fleet.durability_degraded(),
+        }
+    }
+}
+
+/// One telemetry value, tagged with how it is written.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// A count: written as an integer everywhere.
+    Int(usize),
+    /// A float: `{:.17e}` in CSV/JSON (round-trips `f64` exactly),
+    /// `{:.6}` in `/metrics` (`+Inf` for infinity, e.g. the residual
+    /// of a region with unlimited agents).
+    Float(f64),
+    /// The sample time: shortest round-trip (`{}`) everywhere.
+    Time(f64),
+    /// A flag: `0`/`1` in CSV and `/metrics`, `false`/`true` in JSON.
+    Bool(bool),
+}
+
+impl Value {
+    /// The value as a series point (flags read 0/1).
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Int(v) => v as f64,
+            Float(v) | Time(v) => v,
+            Bool(b) => f64::from(u8::from(b)),
+        }
+    }
+
+    fn write_json(self, out: &mut String) {
+        let _ = match self {
+            Int(v) => write!(out, "{v}"),
+            Float(v) => write!(out, "{v:.17e}"),
+            Time(v) => write!(out, "{v}"),
+            Bool(b) => write!(out, "{b}"),
         };
-        self.universe_sessions
-            .push(t_s, snapshot.universe_sessions as f64);
-        self.universe_users
-            .push(t_s, snapshot.universe_users as f64);
-        self.objective.push(t_s, snapshot.objective);
-        self.mean_session_objective
-            .push(t_s, snapshot.mean_session_objective);
-        self.traffic.push(t_s, snapshot.traffic_mbps);
-        self.mean_delay.push(t_s, snapshot.mean_delay_ms);
-        self.live_sessions.push(t_s, live as f64);
-        self.mean_utilization.push(t_s, snapshot.mean_utilization);
-        self.max_utilization.push(t_s, snapshot.max_utilization);
-        self.admitted.push(t_s, snapshot.admitted as f64);
-        self.rejected.push(t_s, snapshot.rejected as f64);
-        self.departed.push(t_s, snapshot.departed as f64);
-        self.migrations.push(t_s, snapshot.migrations as f64);
-        self.admission_success_rate
-            .push(t_s, snapshot.admission_success_rate);
-        self.admission_attempts
-            .push(t_s, snapshot.admission_attempts as f64);
-        self.admitted_enumeration
-            .push(t_s, snapshot.admitted_enumeration as f64);
-        self.admitted_repair
-            .push(t_s, snapshot.admitted_repair as f64);
-        self.admitted_fallback
-            .push(t_s, snapshot.admitted_fallback as f64);
-        self.admission_repair_steps
-            .push(t_s, snapshot.admission_repair_steps as f64);
-        self.refused_user_fit
-            .push(t_s, snapshot.refused_user_fit as f64);
-        self.refused_task_fit
-            .push(t_s, snapshot.refused_task_fit as f64);
-        self.refused_global
-            .push(t_s, snapshot.refused_global as f64);
-        self.conservation_violations
-            .push(t_s, snapshot.conservation_violations as f64);
-        self.overshoot_fraction
-            .push(t_s, snapshot.overshoot_fraction);
-        self.displaced.push(t_s, snapshot.displaced as f64);
-        self.readmit_queued
-            .push(t_s, snapshot.readmit_queued as f64);
-        self.durability_degraded
-            .push(t_s, f64::from(u8::from(snapshot.durability_degraded)));
+    }
+
+    fn write_csv(self, out: &mut String) {
+        match self {
+            Bool(b) => out.push(if b { '1' } else { '0' }),
+            v => v.write_json(out),
+        }
+    }
+}
+
+/// The `/metrics` rendering.
+impl Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Float(v) if v == f64::INFINITY => f.write_str("+Inf"),
+            Float(v) => write!(f, "{v:.6}"),
+            Int(v) => write!(f, "{v}"),
+            Time(v) => write!(f, "{v}"),
+            Bool(b) => write!(f, "{}", u8::from(b)),
+        }
+    }
+}
+
+/// One [`FleetSnapshot`] field as a telemetry column.
+#[derive(Debug, Clone, Copy)]
+pub struct Column {
+    /// Field name: CSV header, JSON key and `vc_fleet_<name>` suffix.
+    pub name: &'static str,
+    /// Reads the field out of a snapshot.
+    pub read: fn(&FleetSnapshot) -> Value,
+    /// The Prometheus type (`"gauge"`/`"counter"`) `/metrics` exports
+    /// it as, or `None` for a CSV/JSON-only column.
+    pub prom: Option<&'static str>,
+}
+
+const fn col(
+    name: &'static str,
+    read: fn(&FleetSnapshot) -> Value,
+    prom: Option<&'static str>,
+) -> Column {
+    Column { name, read, prom }
+}
+
+const GAUGE: Option<&str> = Some("gauge");
+const COUNTER: Option<&str> = Some("counter");
+
+/// Every [`FleetSnapshot`] field, in CSV column order.
+#[rustfmt::skip]
+pub const COLUMNS: &[Column] = &[
+        col("time_s", |s| Time(s.time_s), None),
+        col("universe_sessions", |s| Int(s.universe_sessions), None),
+        col("universe_users", |s| Int(s.universe_users), None),
+        col("live_sessions", |s| Int(s.live_sessions), GAUGE),
+        col("objective", |s| Float(s.objective), GAUGE),
+        col("mean_session_objective", |s| Float(s.mean_session_objective), None),
+        col("traffic_mbps", |s| Float(s.traffic_mbps), GAUGE),
+        col("mean_delay_ms", |s| Float(s.mean_delay_ms), GAUGE),
+        col("mean_utilization", |s| Float(s.mean_utilization), None),
+        col("max_utilization", |s| Float(s.max_utilization), None),
+        col("admitted", |s| Int(s.admitted), COUNTER),
+        col("rejected", |s| Int(s.rejected), COUNTER),
+        col("departed", |s| Int(s.departed), COUNTER),
+        col("migrations", |s| Int(s.migrations), COUNTER),
+        col("admission_success_rate", |s| Float(s.admission_success_rate), GAUGE),
+        col("admission_attempts", |s| Int(s.admission_attempts), None),
+        col("admitted_enumeration", |s| Int(s.admitted_enumeration), None),
+        col("admitted_repair", |s| Int(s.admitted_repair), None),
+        col("admitted_fallback", |s| Int(s.admitted_fallback), None),
+        col("admission_repair_steps", |s| Int(s.admission_repair_steps), None),
+        col("refused_user_fit", |s| Int(s.refused_user_fit), None),
+        col("refused_task_fit", |s| Int(s.refused_task_fit), None),
+        col("refused_global", |s| Int(s.refused_global), None),
+        col("conservation_violations", |s| Int(s.conservation_violations), None),
+        col("overshoot_fraction", |s| Float(s.overshoot_fraction), GAUGE),
+        col("displaced", |s| Int(s.displaced), COUNTER),
+        col("readmit_queued", |s| Int(s.readmit_queued), GAUGE),
+        col("durability_degraded", |s| Bool(s.durability_degraded), GAUGE),
+];
+
+/// Appends one unlabelled Prometheus sample with its `# TYPE` line.
+fn metric(out: &mut String, name: &str, kind: &str, value: impl Display) {
+    let _ = write!(out, "# TYPE {name} {kind}\n{name} {value}\n");
+}
+
+/// Reads one per-region gauge.
+type RegionReader = fn(&RegionResiduals) -> Value;
+
+/// Per-region gauges: `vc_region_<name>{region="…"}`.
+const REGION_GAUGES: [(&str, RegionReader); 6] = [
+    ("agents", |r| Int(r.agents)),
+    ("available_agents", |r| Int(r.available_agents)),
+    ("residual_download_mbps", |r| Float(r.download_mbps)),
+    ("residual_upload_mbps", |r| Float(r.upload_mbps)),
+    ("reserved_download_mbps", |r| {
+        Float(r.reserved_download_mbps)
+    }),
+    ("reserved_upload_mbps", |r| Float(r.reserved_upload_mbps)),
+];
+
+/// Fleet-level gauges in Prometheus text exposition format — the
+/// `extra` closure for [`vc_obs::ObsServer`], so `/metrics` serves the
+/// control-plane state next to the plane's own latency series. The
+/// snapshot columns come from [`COLUMNS`]; a scrape skips the
+/// conservation audit.
+pub fn fleet_metrics_text(fleet: &Fleet) -> String {
+    let snapshot = FleetSnapshot::read(fleet, 0.0);
+    let mut out = String::with_capacity(2048);
+    for c in COLUMNS {
+        if let Some(kind) = c.prom {
+            let name = format!("vc_fleet_{}", c.name);
+            metric(&mut out, &name, kind, (c.read)(&snapshot));
+        }
+    }
+    // Per-region residual/occupancy gauges (elastic capacity). Inf is
+    // Prometheus' `+Inf` — unlimited agents sum to an infinite residual.
+    let regions = fleet.ledger().region_residuals();
+    for (name, read) in REGION_GAUGES {
+        let _ = writeln!(out, "# TYPE vc_region_{name} gauge");
+        for r in &regions {
+            let _ = writeln!(out, "vc_region_{name}{{region=\"{}\"}} {}", r.name, read(r));
+        }
+    }
+    let (prepares, commits, aborts) = fleet.ledger().cross_region_counters();
+    metric(&mut out, "vc_region_cross_prepares", "counter", prepares);
+    metric(&mut out, "vc_region_cross_commits", "counter", commits);
+    metric(&mut out, "vc_region_cross_aborts", "counter", aborts);
+    out
+}
+
+/// Wakeup-scheduler gauges in Prometheus text exposition format —
+/// append to [`fleet_metrics_text`]'s output in a `/metrics` closure
+/// so the sharded wheel's health (stale backlog, per-shard depth, lock
+/// contention) is scrapeable next to the fleet state.
+pub fn sched_metrics_text(pool: &ReoptPool) -> String {
+    let mut out = String::with_capacity(512);
+    let (shards, stale, reclaimed) = (
+        pool.num_shards(),
+        pool.stale_entries(),
+        pool.stale_reclaimed(),
+    );
+    metric(&mut out, "vc_sched_shards", "gauge", shards);
+    metric(&mut out, "vc_sched_stale_entries", "gauge", stale);
+    metric(&mut out, "vc_sched_stale_reclaimed", "counter", reclaimed);
+    out.push_str("# TYPE vc_sched_depth gauge\n");
+    for (i, depth) in pool.shard_depths().into_iter().enumerate() {
+        let _ = writeln!(out, "vc_sched_depth{{shard=\"{i}\"}} {depth}");
+    }
+    let counters = pool.shard_lock_counters();
+    let acquires: u64 = counters.iter().map(|&(a, _)| a).sum();
+    let conflicts: u64 = counters.iter().map(|&(_, c)| c).sum();
+    metric(&mut out, "vc_sched_lock_acquires", "counter", acquires);
+    metric(&mut out, "vc_sched_lock_conflicts", "counter", conflicts);
+    out
+}
+
+/// Accumulates snapshots; [`series`](Self::series) derives any fleet
+/// metric (including a recovered-vs-original diff) as a time series for
+/// the existing table printers, and [CSV](Self::to_csv) and
+/// [JSON](Self::to_json) exports serve offline analysis.
+#[derive(Debug, Default)]
+pub struct FleetTelemetry {
+    snapshots: Vec<FleetSnapshot>,
+}
+
+impl FleetTelemetry {
+    /// An empty collector.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Samples the fleet at virtual time `t_s`, recording and returning
+    /// the snapshot. Runs the conservation audit — the control plane's
+    /// standing self-check.
+    pub fn sample(&mut self, fleet: &Fleet, t_s: f64) -> FleetSnapshot {
+        let audit = fleet.audit();
+        if !audit.is_empty() {
+            // Conservation violated: dump the flight-recorder post-mortem
+            // (once per plane) before anyone asserts on the snapshot.
+            fleet
+                .obs()
+                .post_mortem_once("conservation_violation", &audit[0]);
+        }
+        let snapshot = FleetSnapshot {
+            conservation_violations: audit.len(),
+            ..FleetSnapshot::read(fleet, t_s)
+        };
         self.snapshots.push(snapshot.clone());
         snapshot
     }
@@ -410,139 +400,14 @@ impl FleetTelemetry {
         self.snapshots.last()
     }
 
-    /// Universe-size series (registered sessions).
-    pub fn universe_sessions_series(&self) -> &TimeSeries {
-        &self.universe_sessions
-    }
-
-    /// Universe-size series (registered users).
-    pub fn universe_users_series(&self) -> &TimeSeries {
-        &self.universe_users
-    }
-
-    /// Global-objective series.
-    pub fn objective_series(&self) -> &TimeSeries {
-        &self.objective
-    }
-
-    /// Mean per-session objective series.
-    pub fn mean_session_objective_series(&self) -> &TimeSeries {
-        &self.mean_session_objective
-    }
-
-    /// Inter-agent-traffic series (Mbps).
-    pub fn traffic_series(&self) -> &TimeSeries {
-        &self.traffic
-    }
-
-    /// Mean-delay series (ms).
-    pub fn mean_delay_series(&self) -> &TimeSeries {
-        &self.mean_delay
-    }
-
-    /// Live-session-count series.
-    pub fn live_sessions_series(&self) -> &TimeSeries {
-        &self.live_sessions
-    }
-
-    /// Mean-utilization series (mean of per-agent max fractions).
-    pub fn mean_utilization_series(&self) -> &TimeSeries {
-        &self.mean_utilization
-    }
-
-    /// Max-utilization series.
-    pub fn max_utilization_series(&self) -> &TimeSeries {
-        &self.max_utilization
-    }
-
-    /// Cumulative-admissions series.
-    pub fn admitted_series(&self) -> &TimeSeries {
-        &self.admitted
-    }
-
-    /// Cumulative-rejections series.
-    pub fn rejected_series(&self) -> &TimeSeries {
-        &self.rejected
-    }
-
-    /// Cumulative-departures series.
-    pub fn departed_series(&self) -> &TimeSeries {
-        &self.departed
-    }
-
-    /// Cumulative-migrations series.
-    pub fn migrations_series(&self) -> &TimeSeries {
-        &self.migrations
-    }
-
-    /// Admission-success-rate series.
-    pub fn admission_success_rate_series(&self) -> &TimeSeries {
-        &self.admission_success_rate
-    }
-
-    /// Cumulative-admission-attempts series (admitted + rejected).
-    pub fn admission_attempts_series(&self) -> &TimeSeries {
-        &self.admission_attempts
-    }
-
-    /// Enumeration-tier-admissions series.
-    pub fn admitted_enumeration_series(&self) -> &TimeSeries {
-        &self.admitted_enumeration
-    }
-
-    /// Repair-tier-admissions series.
-    pub fn admitted_repair_series(&self) -> &TimeSeries {
-        &self.admitted_repair
-    }
-
-    /// Ranked-fallback-admissions series.
-    pub fn admitted_fallback_series(&self) -> &TimeSeries {
-        &self.admitted_fallback
-    }
-
-    /// Cumulative-repair-steps series.
-    pub fn admission_repair_steps_series(&self) -> &TimeSeries {
-        &self.admission_repair_steps
-    }
-
-    /// User-fit-refusals series.
-    pub fn refused_user_fit_series(&self) -> &TimeSeries {
-        &self.refused_user_fit
-    }
-
-    /// Task-fit-refusals series.
-    pub fn refused_task_fit_series(&self) -> &TimeSeries {
-        &self.refused_task_fit
-    }
-
-    /// Global-check-refusals series.
-    pub fn refused_global_series(&self) -> &TimeSeries {
-        &self.refused_global
-    }
-
-    /// Conservation-violations series (must be identically zero).
-    pub fn conservation_violations_series(&self) -> &TimeSeries {
-        &self.conservation_violations
-    }
-
-    /// Overshoot-fraction series (worst per-agent debt past capacity).
-    pub fn overshoot_fraction_series(&self) -> &TimeSeries {
-        &self.overshoot_fraction
-    }
-
-    /// Cumulative-displacements series.
-    pub fn displaced_series(&self) -> &TimeSeries {
-        &self.displaced
-    }
-
-    /// Re-admission queue-depth series.
-    pub fn readmit_queued_series(&self) -> &TimeSeries {
-        &self.readmit_queued
-    }
-
-    /// Durability-degraded series (0/1 per sample).
-    pub fn durability_degraded_series(&self) -> &TimeSeries {
-        &self.durability_degraded
+    /// One metric over time: `f` applied to every snapshot, at the
+    /// snapshot's time (e.g. `telemetry.series(|s| s.traffic_mbps)`).
+    pub fn series(&self, f: impl Fn(&FleetSnapshot) -> f64) -> TimeSeries {
+        let mut series = TimeSeries::new();
+        for s in &self.snapshots {
+            series.push(s.time_s, f(s));
+        }
+        series
     }
 
     /// Total conservation violations observed across all samples.
@@ -553,55 +418,27 @@ impl FleetTelemetry {
             .sum()
     }
 
-    /// Column names of [`to_csv`](Self::to_csv), in order.
-    pub const CSV_HEADER: &'static str = "time_s,universe_sessions,universe_users,\
-        live_sessions,objective,\
-        mean_session_objective,traffic_mbps,mean_delay_ms,mean_utilization,\
-        max_utilization,admitted,rejected,departed,migrations,\
-        admission_success_rate,admission_attempts,admitted_enumeration,\
-        admitted_repair,admitted_fallback,admission_repair_steps,\
-        refused_user_fit,refused_task_fit,refused_global,\
-        conservation_violations,overshoot_fraction,displaced,\
-        readmit_queued,durability_degraded";
+    /// Column names of [`to_csv`](Self::to_csv), comma-separated in
+    /// [`COLUMNS`] order.
+    pub fn csv_header() -> String {
+        let names: Vec<&str> = COLUMNS.iter().map(|c| c.name).collect();
+        names.join(",")
+    }
 
     /// Every snapshot as CSV (header + one row per sample), precise
     /// enough to round-trip `f64`s — two runs can be diffed offline
     /// (e.g. a recovered fleet against the original).
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(Self::CSV_HEADER);
+        let mut out = Self::csv_header();
         out.push('\n');
         for s in &self.snapshots {
-            out.push_str(&format!(
-                "{},{},{},{},{:.17e},{:.17e},{:.17e},{:.17e},{:.17e},{:.17e},{},{},{},{},{:.17e},{},{},{},{},{},{},{},{},{},{:.17e},{},{},{}\n",
-                s.time_s,
-                s.universe_sessions,
-                s.universe_users,
-                s.live_sessions,
-                s.objective,
-                s.mean_session_objective,
-                s.traffic_mbps,
-                s.mean_delay_ms,
-                s.mean_utilization,
-                s.max_utilization,
-                s.admitted,
-                s.rejected,
-                s.departed,
-                s.migrations,
-                s.admission_success_rate,
-                s.admission_attempts,
-                s.admitted_enumeration,
-                s.admitted_repair,
-                s.admitted_fallback,
-                s.admission_repair_steps,
-                s.refused_user_fit,
-                s.refused_task_fit,
-                s.refused_global,
-                s.conservation_violations,
-                s.overshoot_fraction,
-                s.displaced,
-                s.readmit_queued,
-                u8::from(s.durability_degraded),
-            ));
+            for (i, c) in COLUMNS.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                (c.read)(s).write_csv(&mut out);
+            }
+            out.push('\n');
         }
         out
     }
@@ -615,51 +452,18 @@ impl FleetTelemetry {
         std::fs::write(path, self.to_csv())
     }
 
-    /// One snapshot as a JSON object (fields mirror the CSV columns).
+    /// One snapshot as a JSON object (keys are the CSV columns).
     fn snapshot_json(s: &FleetSnapshot) -> String {
-        format!(
-            "{{\"time_s\": {}, \"universe_sessions\": {}, \"universe_users\": {}, \
-             \"live_sessions\": {}, \"objective\": {:.17e}, \
-             \"mean_session_objective\": {:.17e}, \"traffic_mbps\": {:.17e}, \
-             \"mean_delay_ms\": {:.17e}, \"mean_utilization\": {:.17e}, \
-             \"max_utilization\": {:.17e}, \"admitted\": {}, \"rejected\": {}, \
-             \"departed\": {}, \"migrations\": {}, \"admission_success_rate\": {:.17e}, \
-             \"admission_attempts\": {}, \"admitted_enumeration\": {}, \
-             \"admitted_repair\": {}, \"admitted_fallback\": {}, \
-             \"admission_repair_steps\": {}, \"refused_user_fit\": {}, \
-             \"refused_task_fit\": {}, \"refused_global\": {}, \
-             \"conservation_violations\": {}, \"overshoot_fraction\": {:.17e}, \
-             \"displaced\": {}, \"readmit_queued\": {}, \
-             \"durability_degraded\": {}}}",
-            s.time_s,
-            s.universe_sessions,
-            s.universe_users,
-            s.live_sessions,
-            s.objective,
-            s.mean_session_objective,
-            s.traffic_mbps,
-            s.mean_delay_ms,
-            s.mean_utilization,
-            s.max_utilization,
-            s.admitted,
-            s.rejected,
-            s.departed,
-            s.migrations,
-            s.admission_success_rate,
-            s.admission_attempts,
-            s.admitted_enumeration,
-            s.admitted_repair,
-            s.admitted_fallback,
-            s.admission_repair_steps,
-            s.refused_user_fit,
-            s.refused_task_fit,
-            s.refused_global,
-            s.conservation_violations,
-            s.overshoot_fraction,
-            s.displaced,
-            s.readmit_queued,
-            s.durability_degraded,
-        )
+        let mut out = String::from("{");
+        for (i, c) in COLUMNS.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "\"{}\": ", c.name);
+            (c.read)(s).write_json(&mut out);
+        }
+        out.push('}');
+        out
     }
 
     /// The structured JSON export alongside the CSV: every snapshot,

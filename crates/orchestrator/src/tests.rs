@@ -458,7 +458,7 @@ fn trace_run_handles_churn_events() {
     assert_eq!(report.telemetry.total_conservation_violations(), 0);
     assert!(report.final_snapshot.admitted >= 4);
     // Series cover the whole horizon at 1 Hz plus the final sample.
-    assert!(report.telemetry.objective_series().len() >= 61);
+    assert!(report.telemetry.series(|s| s.objective).len() >= 61);
 }
 
 mod persistence {
@@ -871,36 +871,9 @@ mod persistence {
         let report = orch.run_trace(&trace, 10.0);
         let t = &report.telemetry;
         let n = t.snapshots().len();
-        for series in [
-            t.universe_sessions_series(),
-            t.universe_users_series(),
-            t.objective_series(),
-            t.mean_session_objective_series(),
-            t.traffic_series(),
-            t.mean_delay_series(),
-            t.live_sessions_series(),
-            t.mean_utilization_series(),
-            t.max_utilization_series(),
-            t.admitted_series(),
-            t.rejected_series(),
-            t.departed_series(),
-            t.migrations_series(),
-            t.admission_success_rate_series(),
-            t.admission_attempts_series(),
-            t.admitted_enumeration_series(),
-            t.admitted_repair_series(),
-            t.admitted_fallback_series(),
-            t.admission_repair_steps_series(),
-            t.refused_user_fit_series(),
-            t.refused_task_fit_series(),
-            t.refused_global_series(),
-            t.conservation_violations_series(),
-            t.overshoot_fraction_series(),
-            t.displaced_series(),
-            t.readmit_queued_series(),
-            t.durability_degraded_series(),
-        ] {
-            assert_eq!(series.len(), n, "a series is missing samples");
+        for c in crate::telemetry::COLUMNS {
+            let series = t.series(|s| (c.read)(s).as_f64());
+            assert_eq!(series.len(), n, "series {} is missing samples", c.name);
         }
         let csv = t.to_csv();
         let mut lines = csv.lines();
@@ -908,10 +881,12 @@ mod persistence {
         assert_eq!(header.split(',').count(), 28);
         assert_eq!(lines.count(), n);
         // Admissions are cumulative and should end ≥ warm pool.
-        assert!(t.admitted_series().last_value().expect("samples") >= 4.0);
+        let admitted = t.series(|s| s.admitted as f64);
+        assert!(admitted.last_value().expect("samples") >= 4.0);
         // The closed-world trace never grows the universe: the size
         // series is the constant instance size.
-        assert_eq!(t.universe_sessions_series().last_value(), Some(6.0));
+        let universe = t.series(|s| s.universe_sessions as f64);
+        assert_eq!(universe.last_value(), Some(6.0));
     }
 }
 

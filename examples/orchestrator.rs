@@ -237,12 +237,10 @@ fn comparison_demo(serve: Option<&str>) {
 
     let b = &baseline.final_snapshot;
     let o = &orchestrated.final_snapshot;
-    let peak_live = orchestrated
-        .telemetry
-        .live_sessions_series()
-        .values()
-        .into_iter()
-        .fold(0.0f64, f64::max) as usize;
+    let peak_live = (orchestrated.telemetry.snapshots().iter())
+        .map(|s| s.live_sessions)
+        .max()
+        .unwrap_or(0);
     println!("== verdict ==");
     println!("  peak concurrent sessions  {peak_live}");
     println!(

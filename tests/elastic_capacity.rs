@@ -33,6 +33,9 @@ use vc_model::ModelError;
 use vc_orchestrator::persist::FleetOp;
 use vc_orchestrator::{AgentHold, CapacityLedger, CrossRegionError, SessionHold, DEFAULT_REGION};
 
+mod common;
+use common::small_universe;
+
 fn store_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("target/tmp-persist")
@@ -57,43 +60,6 @@ fn persist_config(dir: &std::path::Path) -> PersistConfig {
         // sweep below is meaningful.
         stay_batch: 1,
     }
-}
-
-/// Three capacity-limited agents, six 2-user sessions — the same shape
-/// as `tests/persist_recovery.rs`'s sweep universe: small enough for a
-/// byte-offset sweep, contended enough that admissions spill across
-/// whatever agents (and regions) exist.
-fn small_universe() -> Arc<UapProblem> {
-    let ladder = ReprLadder::standard_four();
-    let hi = ladder.highest();
-    let lo = ladder.lowest();
-    let mut b = InstanceBuilder::new(ladder);
-    for name in ["a", "b", "c"] {
-        b.add_agent(
-            AgentSpec::builder(name)
-                .capacity(Capacity::new(90.0, 90.0, 5))
-                .build(),
-        );
-    }
-    for i in 0..6 {
-        let s = b.add_session();
-        if i % 2 == 0 {
-            b.add_user(s, hi, lo);
-            b.add_user(s, lo, lo);
-        } else {
-            b.add_user(s, hi, hi);
-            b.add_user(s, hi, hi);
-        }
-    }
-    b.symmetric_delays(
-        |l, k| 25.0 + 20.0 * ((l as f64) - (k as f64)).abs(),
-        |l, u| 8.0 + ((l * 13 + u * 7) % 23) as f64,
-    );
-    b.d_max_ms(10_000.0);
-    Arc::new(UapProblem::new(
-        b.build().expect("valid universe"),
-        CostModel::paper_default(),
-    ))
 }
 
 /// A registrable agent definition over a universe with `num_agents`

@@ -173,8 +173,9 @@ fn full_simulation_pipeline_stays_consistent() {
     let fleet = orchestrator.fleet();
     // Final sampled values equal the final state's readouts.
     let final_traffic_mbps = fleet.with_state(|state| state.total_traffic_mbps());
+    let traffic = report.telemetry.series(|s| s.traffic_mbps);
     assert!(
-        (report.telemetry.traffic_series().last_value().unwrap() - final_traffic_mbps).abs() < 1e-9,
+        (traffic.last_value().unwrap() - final_traffic_mbps).abs() < 1e-9,
         "sampled and final traffic disagree"
     );
     let drift = fleet.load_drift();

@@ -8,46 +8,13 @@
 
 use cloud_vc::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
-use std::sync::Arc;
 use vc_algo::agrank::AgRankConfig;
 use vc_algo::markov::Alg1Config;
-use vc_core::UapProblem;
 use vc_obs::{SloSpec, Watchdog};
 use vc_orchestrator::FleetTelemetry;
 
-/// Three capacity-limited agents, six 2-user sessions.
-fn small_universe() -> Arc<UapProblem> {
-    let ladder = ReprLadder::standard_four();
-    let hi = ladder.highest();
-    let lo = ladder.lowest();
-    let mut b = InstanceBuilder::new(ladder);
-    for name in ["a", "b", "c"] {
-        b.add_agent(
-            AgentSpec::builder(name)
-                .capacity(Capacity::new(90.0, 90.0, 5))
-                .build(),
-        );
-    }
-    for i in 0..6 {
-        let s = b.add_session();
-        if i % 2 == 0 {
-            b.add_user(s, hi, lo);
-            b.add_user(s, lo, lo);
-        } else {
-            b.add_user(s, hi, hi);
-            b.add_user(s, hi, hi);
-        }
-    }
-    b.symmetric_delays(
-        |l, k| 25.0 + 20.0 * ((l as f64) - (k as f64)).abs(),
-        |l, u| 8.0 + ((l * 13 + u * 7) % 23) as f64,
-    );
-    b.d_max_ms(10_000.0);
-    Arc::new(UapProblem::new(
-        b.build().expect("valid universe"),
-        CostModel::paper_default(),
-    ))
-}
+mod common;
+use common::small_universe;
 
 fn fleet_config() -> FleetConfig {
     FleetConfig {

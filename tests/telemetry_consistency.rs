@@ -1,8 +1,9 @@
 //! Property tests of the observability exports' mutual consistency:
-//! after *any* admit/depart/hop/sample interleaving, the three views a
+//! after *any* admit/depart/hop/sample interleaving, the views a
 //! [`FleetTelemetry`] collector offers — the snapshot vector, the
-//! per-field [`TimeSeries`], and the CSV export — must describe the
-//! same history, row for row and field for field. A companion suite
+//! per-column series, the CSV export and the JSON export — must
+//! describe the same history, row for row and field for field, and the
+//! column table must cover every snapshot field. A companion suite
 //! checks that `vc-obs` histogram merging is exactly bucket-wise (a
 //! merged histogram reports the same summary as one histogram fed the
 //! concatenated stream).
@@ -13,6 +14,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 use vc_algo::markov::Alg1Config;
 use vc_obs::LatencyHist;
+use vc_orchestrator::telemetry::COLUMNS;
 use vc_orchestrator::{Fleet, FleetConfig, FleetSnapshot, FleetTelemetry, PlacementPolicy};
 
 /// A small capacity-limited universe: 3 agents, 5 sessions of 2–3 users.
@@ -101,106 +103,80 @@ fn drive(fleet: &Fleet, events: &[(u8, u8)]) -> FleetTelemetry {
     telemetry
 }
 
-/// One mirrored telemetry field: name, series values, and the
-/// extractor pulling the same figure out of a snapshot.
-type FieldView = (&'static str, Vec<f64>, fn(&FleetSnapshot) -> f64);
+/// One telemetry field: its column name and the hand-written extractor
+/// pulling the figure out of a snapshot.
+type FieldView = (&'static str, fn(&FleetSnapshot) -> f64);
 
-/// The per-field series views, paired with the snapshot field each one
-/// mirrors.
-fn field_views(t: &FleetTelemetry) -> Vec<FieldView> {
+/// Every snapshot field, in CSV column order, each paired with its own
+/// extractor — written out by hand so the column table is checked
+/// against the struct rather than against itself.
+fn field_views() -> Vec<FieldView> {
     vec![
-        (
-            "universe_sessions",
-            t.universe_sessions_series().values(),
-            |s| s.universe_sessions as f64,
-        ),
-        ("universe_users", t.universe_users_series().values(), |s| {
-            s.universe_users as f64
+        ("time_s", |s| s.time_s),
+        ("universe_sessions", |s| s.universe_sessions as f64),
+        ("universe_users", |s| s.universe_users as f64),
+        ("live_sessions", |s| s.live_sessions as f64),
+        ("objective", |s| s.objective),
+        ("mean_session_objective", |s| s.mean_session_objective),
+        ("traffic_mbps", |s| s.traffic_mbps),
+        ("mean_delay_ms", |s| s.mean_delay_ms),
+        ("mean_utilization", |s| s.mean_utilization),
+        ("max_utilization", |s| s.max_utilization),
+        ("admitted", |s| s.admitted as f64),
+        ("rejected", |s| s.rejected as f64),
+        ("departed", |s| s.departed as f64),
+        ("migrations", |s| s.migrations as f64),
+        ("admission_success_rate", |s| s.admission_success_rate),
+        ("admission_attempts", |s| s.admission_attempts as f64),
+        ("admitted_enumeration", |s| s.admitted_enumeration as f64),
+        ("admitted_repair", |s| s.admitted_repair as f64),
+        ("admitted_fallback", |s| s.admitted_fallback as f64),
+        ("admission_repair_steps", |s| {
+            s.admission_repair_steps as f64
         }),
-        ("live_sessions", t.live_sessions_series().values(), |s| {
-            s.live_sessions as f64
+        ("refused_user_fit", |s| s.refused_user_fit as f64),
+        ("refused_task_fit", |s| s.refused_task_fit as f64),
+        ("refused_global", |s| s.refused_global as f64),
+        ("conservation_violations", |s| {
+            s.conservation_violations as f64
         }),
-        ("objective", t.objective_series().values(), |s| s.objective),
-        (
-            "mean_session_objective",
-            t.mean_session_objective_series().values(),
-            |s| s.mean_session_objective,
-        ),
-        ("traffic", t.traffic_series().values(), |s| s.traffic_mbps),
-        ("mean_delay", t.mean_delay_series().values(), |s| {
-            s.mean_delay_ms
+        ("overshoot_fraction", |s| s.overshoot_fraction),
+        ("displaced", |s| s.displaced as f64),
+        ("readmit_queued", |s| s.readmit_queued as f64),
+        ("durability_degraded", |s| {
+            f64::from(u8::from(s.durability_degraded))
         }),
-        (
-            "mean_utilization",
-            t.mean_utilization_series().values(),
-            |s| s.mean_utilization,
-        ),
-        (
-            "max_utilization",
-            t.max_utilization_series().values(),
-            |s| s.max_utilization,
-        ),
-        ("admitted", t.admitted_series().values(), |s| {
-            s.admitted as f64
-        }),
-        ("rejected", t.rejected_series().values(), |s| {
-            s.rejected as f64
-        }),
-        ("departed", t.departed_series().values(), |s| {
-            s.departed as f64
-        }),
-        ("migrations", t.migrations_series().values(), |s| {
-            s.migrations as f64
-        }),
-        (
-            "admission_success_rate",
-            t.admission_success_rate_series().values(),
-            |s| s.admission_success_rate,
-        ),
-        (
-            "admission_attempts",
-            t.admission_attempts_series().values(),
-            |s| s.admission_attempts as f64,
-        ),
-        (
-            "admitted_enumeration",
-            t.admitted_enumeration_series().values(),
-            |s| s.admitted_enumeration as f64,
-        ),
-        (
-            "admitted_repair",
-            t.admitted_repair_series().values(),
-            |s| s.admitted_repair as f64,
-        ),
-        (
-            "admitted_fallback",
-            t.admitted_fallback_series().values(),
-            |s| s.admitted_fallback as f64,
-        ),
-        (
-            "admission_repair_steps",
-            t.admission_repair_steps_series().values(),
-            |s| s.admission_repair_steps as f64,
-        ),
-        (
-            "refused_user_fit",
-            t.refused_user_fit_series().values(),
-            |s| s.refused_user_fit as f64,
-        ),
-        (
-            "refused_task_fit",
-            t.refused_task_fit_series().values(),
-            |s| s.refused_task_fit as f64,
-        ),
-        ("refused_global", t.refused_global_series().values(), |s| {
-            s.refused_global as f64
-        }),
-        (
-            "conservation_violations",
-            t.conservation_violations_series().values(),
-            |s| s.conservation_violations as f64,
-        ),
     ]
+}
+
+/// The column table names exactly the hand-written fields, in order.
+#[test]
+fn column_table_names_every_field() {
+    let names: Vec<&str> = COLUMNS.iter().map(|c| c.name).collect();
+    let fields: Vec<&str> = field_views().iter().map(|&(name, _)| name).collect();
+    assert_eq!(names, fields);
+}
+
+/// The snapshot rows of a [`FleetTelemetry::to_json`] export as
+/// `(key, value)` lists. The writer puts one row per line and no comma
+/// inside a value, so splitting is a faithful parse.
+fn json_rows(json: &str) -> Vec<Vec<(String, String)>> {
+    let body = &json[json.find("\"snapshots\": [").expect("snapshots")..];
+    body.lines()
+        .skip(1)
+        .map(str::trim)
+        .take_while(|line| line.starts_with('{'))
+        .map(|line| {
+            let inner = line.trim_end_matches(',');
+            inner[1..inner.len() - 1]
+                .split(", ")
+                .map(|kv| {
+                    let (k, v) = kv.split_once(": ").expect("key: value");
+                    (k.trim_matches('"').to_string(), v.to_string())
+                })
+                .collect()
+        })
+        .collect()
 }
 
 proptest! {
@@ -217,7 +193,10 @@ proptest! {
         let telemetry = drive(&fleet, &events);
         let snaps = telemetry.snapshots();
         prop_assert_eq!(snaps.len(), events.len(), "one snapshot per sample");
-        for (name, values, field) in field_views(&telemetry) {
+        for (name, field) in field_views() {
+            // The series the column table yields for this name.
+            let column = COLUMNS.iter().find(|c| c.name == name).expect("column");
+            let values = telemetry.series(|s| (column.read)(s).as_f64()).values();
             prop_assert_eq!(values.len(), snaps.len(), "series {} length", name);
             for (i, snap) in snaps.iter().enumerate() {
                 prop_assert_eq!(
@@ -228,8 +207,8 @@ proptest! {
         }
         // Every series shares the snapshot time axis.
         for (i, snap) in snaps.iter().enumerate() {
-            prop_assert_eq!(telemetry.objective_series().points()[i].0, snap.time_s);
-            prop_assert_eq!(telemetry.admitted_series().points()[i].0, snap.time_s);
+            prop_assert_eq!(telemetry.series(|s| s.objective).points()[i].0, snap.time_s);
+            prop_assert_eq!(telemetry.series(|s| s.admitted as f64).points()[i].0, snap.time_s);
         }
     }
 
@@ -247,7 +226,7 @@ proptest! {
         let csv = telemetry.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         prop_assert_eq!(lines.len(), snaps.len() + 1, "header + one row per sample");
-        prop_assert_eq!(lines[0], FleetTelemetry::CSV_HEADER);
+        prop_assert_eq!(lines[0], FleetTelemetry::csv_header());
         let columns = lines[0].split(',').count();
         for (i, snap) in snaps.iter().enumerate() {
             let fields: Vec<&str> = lines[i + 1].split(',').collect();
@@ -268,9 +247,44 @@ proptest! {
                 snap.admission_success_rate
             );
             prop_assert_eq!(
-                fields[columns - 1].parse::<usize>().unwrap(),
+                fields[23].parse::<usize>().unwrap(),
                 snap.conservation_violations
             );
+            // Every column round-trips to its field.
+            for (j, (name, field)) in field_views().into_iter().enumerate() {
+                prop_assert_eq!(
+                    fields[j].parse::<f64>().unwrap(), field(snap),
+                    "csv column {} row {}", name, i
+                );
+            }
+        }
+    }
+
+    /// The JSON export mirrors the CSV: each snapshot object's keys are
+    /// the CSV header in order, and every value round-trips to its
+    /// field (flags as `false`/`true`).
+    #[test]
+    fn json_round_trips_snapshots(
+        spec in universe_strategy(),
+        events in prop::collection::vec((any::<u8>(), any::<u8>()), 1..=30),
+    ) {
+        let fleet = build_fleet(&spec);
+        let telemetry = drive(&fleet, &events);
+        let snaps = telemetry.snapshots();
+        let rows = json_rows(&telemetry.to_json(&fleet));
+        prop_assert_eq!(rows.len(), snaps.len(), "one object per sample");
+        let header = FleetTelemetry::csv_header();
+        for (i, (row, snap)) in rows.iter().zip(snaps).enumerate() {
+            let keys: Vec<&str> = row.iter().map(|(k, _)| k.as_str()).collect();
+            prop_assert_eq!(keys.join(","), header.clone(), "row {} keys", i);
+            for ((key, value), (_, field)) in row.iter().zip(field_views()) {
+                let parsed = match value.as_str() {
+                    "false" => 0.0,
+                    "true" => 1.0,
+                    v => v.parse::<f64>().unwrap(),
+                };
+                prop_assert_eq!(parsed, field(snap), "json key {} row {}", key, i);
+            }
         }
     }
 

@@ -13,12 +13,13 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 use vc_algo::agrank::AgRankConfig;
 use vc_algo::markov::Alg1Config;
-use vc_core::UapProblem;
 use vc_obs::{TraceEvent, TraceKind};
 use vc_orchestrator::ReoptPool;
+
+mod common;
+use common::small_universe;
 
 fn store_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -26,42 +27,6 @@ fn store_dir(name: &str) -> PathBuf {
         .join(format!("trace-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Three capacity-limited agents, six 2-user sessions — contended
-/// enough that admissions refuse and failures force evacuations, so
-/// the trace exercises every event kind.
-fn small_universe() -> Arc<UapProblem> {
-    let ladder = ReprLadder::standard_four();
-    let hi = ladder.highest();
-    let lo = ladder.lowest();
-    let mut b = InstanceBuilder::new(ladder);
-    for name in ["a", "b", "c"] {
-        b.add_agent(
-            AgentSpec::builder(name)
-                .capacity(Capacity::new(90.0, 90.0, 5))
-                .build(),
-        );
-    }
-    for i in 0..6 {
-        let s = b.add_session();
-        if i % 2 == 0 {
-            b.add_user(s, hi, lo);
-            b.add_user(s, lo, lo);
-        } else {
-            b.add_user(s, hi, hi);
-            b.add_user(s, hi, hi);
-        }
-    }
-    b.symmetric_delays(
-        |l, k| 25.0 + 20.0 * ((l as f64) - (k as f64)).abs(),
-        |l, u| 8.0 + ((l * 13 + u * 7) % 23) as f64,
-    );
-    b.d_max_ms(10_000.0);
-    Arc::new(UapProblem::new(
-        b.build().expect("valid universe"),
-        CostModel::paper_default(),
-    ))
 }
 
 fn fleet_config() -> FleetConfig {
